@@ -447,21 +447,22 @@ class ServerInstance:
         """Index polled messages into the consuming mutable segment,
         applying the table's upsert/dedup semantics row by row."""
         manager = self.upsert_manager(consuming.table)
+        mutable = consuming.mutable
         if manager is None:
             for message in messages:
-                consuming.mutable.index(message.value)
+                mutable.index(message.value)
             return
         invalidated = False
         for message in messages:
-            record = consuming.config.schema.normalize(message.value)
             if manager.config.is_dedup:
+                record = mutable.schema.normalize(message.value)
                 if not manager.admit(consuming.partition, record):
                     self.metrics.incr("dedup_rows_dropped")
                     continue
-                consuming.mutable.index(record)
+                mutable.append(record)
                 continue
-            doc_id = consuming.mutable.num_docs
-            consuming.mutable.index(record)
+            doc_id = mutable.num_docs
+            record = mutable.index(message.value)
             if manager.apply(consuming.name, doc_id, record):
                 invalidated = True
         if invalidated:
@@ -568,10 +569,7 @@ class ServerInstance:
                 self._add_virtual_column(entry.segment, spec)
         for (t, __), consuming in self._consuming.items():
             if t == table and spec.name not in consuming.mutable.schema:
-                consuming.mutable.schema = (
-                    consuming.mutable.schema.with_column(spec)
-                )
-                consuming.mutable.invalidate_snapshot()
+                consuming.mutable.add_column(spec)
 
     @staticmethod
     def _add_virtual_column(segment: ImmutableSegment, spec) -> None:
@@ -778,10 +776,6 @@ class ServerInstance:
             f"server {self.instance_id!r} asked for unknown segment "
             f"{table}/{name}"
         )
-
-
-def is_realtime_segment_name(name: str) -> bool:
-    return name.count("__") >= 2
 
 
 def realtime_segment_name(table: str, partition: int, sequence: int) -> str:

@@ -1,22 +1,31 @@
-"""Segment builder: raw records -> :class:`ImmutableSegment`.
+"""Segment builder: records -> :class:`ImmutableSegment`.
 
-The builder normalizes records against the schema, optionally reorders
-them physically by a *sorted column* (§4.2), dictionary-encodes and
-bit-packs every column, builds requested inverted indexes, computes the
-column statistics the planner relies on, and optionally attaches a
-star-tree (§4.3).
+The builder is columnar from the first row. :meth:`SegmentBuilder.add`
+normalizes a record against the schema once and appends each value to
+its column's accumulator: an insertion-order value -> id map (Pinot's
+mutable dictionary) plus a growable id buffer. :meth:`SegmentBuilder.build`
+leaves the accumulators untouched: it sorts each column's *distinct*
+values into a sorted dictionary (§3.1), remaps the buffered ids through
+one rank array, optionally reorders documents by a *sorted column*
+(§4.2), bit-packs every forward index, builds requested inverted
+indexes and bloom filters, computes the column statistics the planner
+relies on, and optionally attaches a star-tree (§4.3) and timestamp
+rollups. A consuming segment keeps one builder for its whole life and
+builds from it for every snapshot and once more to seal.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.common.schema import Schema
+from repro.common.types import DataType, FieldSpec
 from repro.errors import SegmentError
-from repro.segment.bitpack import bits_required
+from repro.segment.bitpack import PackedIntArray, bits_required
 from repro.segment.dictionary import Dictionary
 from repro.segment.forward import (
     MultiValueForwardIndex,
@@ -66,9 +75,75 @@ class SegmentConfig:
             )
 
 
+class _ColumnAccumulator:
+    """Append-time encoding of one column.
+
+    ``ids`` maps each distinct value to an id in first-seen order (equal
+    values, e.g. ``0.0`` and ``-0.0``, share the first one's id);
+    ``buffer`` holds one id per document, or per entry for a multi-value
+    column, whose ``ends`` hold each document's end offset into it.
+    """
+
+    __slots__ = ("spec", "name", "ids", "buffer", "ends")
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.name = spec.name
+        self.ids: dict[Any, int] = {}
+        self.buffer = array("I")
+        self.ends = array("q") if spec.multi_value else None
+
+    def append(self, value: Any) -> None:
+        """Add one document's value (its list of values, if multi-value)."""
+        ids = self.ids
+        if self.ends is None:
+            self.buffer.append(ids.setdefault(value, len(ids)))
+            return
+        for item in value:
+            self.buffer.append(ids.setdefault(item, len(ids)))
+        self.ends.append(len(self.buffer))
+
+    def encode(self) -> tuple[Dictionary, np.ndarray]:
+        """The sorted dictionary, and the buffered ids remapped into it."""
+        dtype = self.spec.dtype
+        # An all-empty multi-value column still needs a dictionary.
+        distinct = list(self.ids) or [self.spec.default]
+        if dtype is DataType.STRING:
+            # np.unique is slow on object arrays; sort the few distinct
+            # strings in Python instead.
+            order = sorted(range(len(distinct)), key=distinct.__getitem__)
+            values = np.array([distinct[i] for i in order], dtype=object)
+            rank = np.empty(len(order), dtype=np.uint32)
+            rank[order] = np.arange(len(order), dtype=np.uint32)
+        else:
+            # Also merges distinct inputs that one FLOAT value represents.
+            values, rank = np.unique(
+                np.asarray(distinct, dtype=dtype.numpy_dtype),
+                return_inverse=True,
+            )
+            if values.dtype.kind == "f" and np.isnan(values[-1]):
+                raise SegmentError(f"value {values[-1]!r} not in dictionary")
+        ids = rank[np.array(self.buffer, dtype=np.uint32)]
+        return Dictionary(dtype, values), ids.astype(np.uint32, copy=False)
+
+    def decode(self, order: np.ndarray | None) -> list[Any]:
+        """Each document's value (a fresh list for multi-value cells)."""
+        distinct = list(self.ids)
+        if self.ends is None:
+            cells: list[Any] = [distinct[i] for i in self.buffer]
+        else:
+            flat = [distinct[i] for i in self.buffer]
+            starts = [0, *self.ends[:-1]]
+            cells = [flat[s:e] for s, e in zip(starts, self.ends)]
+        if order is None:
+            return cells
+        return [cells[i] for i in order.tolist()]
+
+
 @dataclass
 class SegmentBuilder:
-    """Accumulates records and builds an immutable segment."""
+    """Accumulates records column by column and builds immutable
+    segments from them."""
 
     segment_name: str
     table_name: str
@@ -76,69 +151,106 @@ class SegmentBuilder:
     config: SegmentConfig = field(default_factory=SegmentConfig)
 
     def __post_init__(self) -> None:
-        self._records: list[dict[str, Any]] = []
-        if self.config.sorted_column is not None:
-            spec = self.schema.field(self.config.sorted_column)
-            if spec.multi_value:
-                raise SegmentError("sorted column cannot be multi-value")
+        self._columns = [_ColumnAccumulator(spec) for spec in self.schema]
+        self._num_docs = 0
+        for name in (self.config.sorted_column,
+                     self.config.partition_column):
+            if name is not None and self.schema.field(name).multi_value:
+                raise SegmentError(
+                    f"sorted/partition column {name!r} cannot be "
+                    "multi-value"
+                )
         for name in (*self.config.inverted_columns,
                      *self.config.bloom_columns):
             self.schema.field(name)  # validates existence
 
-    def add(self, record: Mapping[str, Any]) -> None:
-        self._records.append(self.schema.normalize(record))
+    def add(self, record: Mapping[str, Any]) -> dict[str, Any]:
+        """Normalize ``record`` and append it; returns the normalized row."""
+        row = self.schema.normalize(record)
+        self.append(row)
+        return row
 
     def add_all(self, records: Iterable[Mapping[str, Any]]) -> None:
         for record in records:
             self.add(record)
 
+    def append(self, row: Mapping[str, Any]) -> None:
+        """Append a row already normalized against :attr:`schema`."""
+        for acc in self._columns:
+            acc.append(row[acc.name])
+        self._num_docs += 1
+
+    def add_column(self, spec: FieldSpec) -> None:
+        """Schema evolution (§5.2): append ``spec`` to the schema and fill
+        it with the column default for every row added so far."""
+        self.schema = self.schema.with_column(spec)
+        acc = _ColumnAccumulator(spec)
+        default = spec.coerce(None)
+        for __ in range(self._num_docs):
+            acc.append(default)
+        self._columns.append(acc)
+
     def __len__(self) -> int:
-        return len(self._records)
+        return self._num_docs
+
+    def records(self, order: np.ndarray | None = None) -> list[dict[str, Any]]:
+        """The normalized rows added so far, in arrival order or in the
+        document ``order`` given."""
+        names = [acc.name for acc in self._columns]
+        columns = [acc.decode(order) for acc in self._columns]
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
     # -- build ----------------------------------------------------------
 
-    def build(self) -> ImmutableSegment:
-        if not self._records:
+    def build(self, config: SegmentConfig | None = None) -> ImmutableSegment:
+        """Build a segment from the rows added so far, under ``config``
+        (default: the builder's own). The builder stays usable."""
+        config = self.config if config is None else config
+        if not self._num_docs:
             raise SegmentError(
                 f"segment {self.segment_name!r} has no records"
             )
-        records = self._records
-        sorted_col = self.config.sorted_column
+        encoded = [acc.encode() for acc in self._columns]
+        sorted_col = config.sorted_column
+        order = None
         if sorted_col is not None:
-            records = sorted(records, key=lambda r: r[sorted_col])
+            position = self.schema.column_names.index(sorted_col)
+            # Stable, so equal keys keep arrival order, as sorting the
+            # rows by the column's value would.
+            order = np.argsort(encoded[position][1], kind="stable")
 
         columns: dict[str, Column] = {}
-        column_metas: dict[str, ColumnMetadata] = {}
-        for spec in self.schema:
-            column = self._build_column(spec, records)
-            columns[spec.name] = column
-            column_metas[spec.name] = column.metadata
+        for acc, (dictionary, ids) in zip(self._columns, encoded):
+            columns[acc.name] = self._build_column(
+                acc, dictionary, ids, order, config)
 
         metadata = SegmentMetadata(
             segment_name=self.segment_name,
             table_name=self.table_name,
-            num_docs=len(records),
-            columns=column_metas,
+            num_docs=self._num_docs,
+            columns={name: column.metadata
+                     for name, column in columns.items()},
             sorted_column=sorted_col,
             time_column=self.schema.time_column,
         )
-        self._fill_time_metadata(metadata, records)
-        self._fill_partition_metadata(metadata, records)
+        self._fill_time_metadata(metadata, columns)
+        self._fill_partition_metadata(metadata, columns, config)
 
-        star_tree = None
-        if self.config.star_tree is not None:
+        star_tree = time_index = None
+        # The star-tree and rollup builders read rows, in document order.
+        records = (self.records(order)
+                   if config.star_tree is not None or config.timestamp_index
+                   else [])
+        if config.star_tree is not None:
             from repro.startree.builder import build_star_tree
 
-            star_tree = build_star_tree(
-                self.schema, records, self.config.star_tree
-            )
-        time_index = None
-        if self.config.timestamp_index:
+            star_tree = build_star_tree(self.schema, records,
+                                        config.star_tree)
+        if config.timestamp_index:
             from repro.segment.timeindex import build_time_index
 
-            time_index = build_time_index(
-                self.schema, records, self.config.timestamp_index
-            )
+            time_index = build_time_index(self.schema, records,
+                                          config.timestamp_index)
             if time_index is not None:
                 metadata.time_index_bytes = time_index.nbytes
         return ImmutableSegment(metadata, self.schema, columns, star_tree,
@@ -146,110 +258,77 @@ class SegmentBuilder:
 
     # -- internals ---------------------------------------------------------
 
-    def _build_column(self, spec, records: Sequence[dict[str, Any]]) -> Column:
-        name = spec.name
+    def _build_column(self, acc: _ColumnAccumulator, dictionary: Dictionary,
+                      ids: np.ndarray, order: np.ndarray | None,
+                      config: SegmentConfig) -> Column:
+        spec, name = acc.spec, acc.name
+        cardinality = dictionary.cardinality
+        is_sorted_column = name == config.sorted_column
+        forward: Any
         if spec.multi_value:
-            return self._build_multi_value_column(spec, records)
-        raw = [record[name] for record in records]
-        dictionary = Dictionary.build(spec.dtype, raw)
-        dict_ids = dictionary.encode(raw)
-        is_sorted_column = name == self.config.sorted_column
-        if is_sorted_column:
-            forward: Any = SortedForwardIndex.from_sorted_dict_ids(
-                dict_ids, dictionary.cardinality
-            )
+            offsets = np.concatenate(([0], np.array(acc.ends,
+                                                    dtype=np.int64)))
+            if order is not None:
+                ids, offsets = _permute_cells(ids, offsets, order)
+            forward = MultiValueForwardIndex(
+                PackedIntArray.from_values(ids), offsets)
         else:
-            forward = SingleValueForwardIndex.from_dict_ids(dict_ids)
+            if order is not None:
+                ids = ids[order]
+            if is_sorted_column:
+                forward = SortedForwardIndex.from_sorted_dict_ids(
+                    ids, cardinality)
+            else:
+                forward = SingleValueForwardIndex.from_dict_ids(ids)
         inverted = None
-        if name in self.config.inverted_columns:
-            inverted = InvertedIndex.build(forward, dictionary.cardinality)
+        if name in config.inverted_columns:
+            inverted = InvertedIndex.build(forward, cardinality)
         meta = ColumnMetadata(
             name=name,
             dtype=spec.dtype,
             role=spec.role,
-            cardinality=dictionary.cardinality,
-            min_value=dictionary.min_value,
-            max_value=dictionary.max_value,
-            multi_value=False,
+            cardinality=cardinality,
+            min_value=_plain(dictionary.min_value),
+            max_value=_plain(dictionary.max_value),
+            multi_value=spec.multi_value,
             is_sorted=is_sorted_column,
             has_inverted_index=inverted is not None,
-            total_docs=len(records),
-            total_entries=len(records),
-            bit_width=bits_required(dictionary.cardinality - 1),
+            total_docs=self._num_docs,
+            total_entries=len(ids),
+            bit_width=bits_required(cardinality - 1),
             dictionary_bytes=dictionary.nbytes,
             forward_bytes=forward.nbytes,
             inverted_bytes=inverted.nbytes if inverted else 0,
         )
-        self._attach_bloom(meta, dictionary)
-        _jsonify_minmax(meta)
-        return Column(spec, dictionary, forward, meta, inverted)
+        if name in config.bloom_columns:
+            from repro.segment.bloom import BloomFilter
 
-    def _attach_bloom(self, meta: ColumnMetadata, dictionary) -> None:
-        if meta.name not in self.config.bloom_columns:
-            return
-        from repro.segment.bloom import BloomFilter
-
-        bloom = BloomFilter.for_capacity(dictionary.cardinality, fpp=0.01)
-        bloom.add_many(dictionary.to_list())
-        meta.bloom = bloom.to_payload()
-
-    def _build_multi_value_column(self, spec,
-                                  records: Sequence[dict[str, Any]]) -> Column:
-        name = spec.name
-        cell_lists = [record[name] for record in records]
-        flat = [v for cell in cell_lists for v in cell]
-        if not flat:
-            # All-empty multi-value column still needs a dictionary.
-            flat = [spec.default]
-        dictionary = Dictionary.build(spec.dtype, flat)
-        id_lists = [
-            dictionary.encode(cell) if cell else np.empty(0, dtype=np.uint32)
-            for cell in cell_lists
-        ]
-        forward = MultiValueForwardIndex.from_id_lists(id_lists)
-        inverted = None
-        if name in self.config.inverted_columns:
-            inverted = InvertedIndex.build(forward, dictionary.cardinality)
-        meta = ColumnMetadata(
-            name=name,
-            dtype=spec.dtype,
-            role=spec.role,
-            cardinality=dictionary.cardinality,
-            min_value=dictionary.min_value,
-            max_value=dictionary.max_value,
-            multi_value=True,
-            is_sorted=False,
-            has_inverted_index=inverted is not None,
-            total_docs=len(records),
-            total_entries=forward.total_entries,
-            bit_width=bits_required(dictionary.cardinality - 1),
-            dictionary_bytes=dictionary.nbytes,
-            forward_bytes=forward.nbytes,
-            inverted_bytes=inverted.nbytes if inverted else 0,
-        )
-        self._attach_bloom(meta, dictionary)
-        _jsonify_minmax(meta)
+            bloom = BloomFilter.for_capacity(cardinality, fpp=0.01)
+            bloom.add_many(dictionary.to_list())
+            meta.bloom = bloom.to_payload()
         return Column(spec, dictionary, forward, meta, inverted)
 
     def _fill_time_metadata(self, metadata: SegmentMetadata,
-                            records: Sequence[dict[str, Any]]) -> None:
+                            columns: Mapping[str, Column]) -> None:
         time_col = self.schema.time_column
         if time_col is None:
             return
-        values = [record[time_col] for record in records]
-        metadata.min_time = int(min(values))
-        metadata.max_time = int(max(values))
+        dictionary = columns[time_col].dictionary
+        metadata.min_time = int(dictionary.min_value)
+        metadata.max_time = int(dictionary.max_value)
 
     def _fill_partition_metadata(self, metadata: SegmentMetadata,
-                                 records: Sequence[dict[str, Any]]) -> None:
-        column = self.config.partition_column
+                                 columns: Mapping[str, Column],
+                                 config: SegmentConfig) -> None:
+        column = config.partition_column
         if column is None:
             return
         from repro.kafka.partitioner import kafka_partition
 
-        num = self.config.num_partitions
+        num = config.num_partitions
         partitions = {
-            kafka_partition(record[column], num) for record in records
+            kafka_partition(value, num)
+            for value in columns[column].dictionary.to_list()
         }
         if len(partitions) != 1:
             raise SegmentError(
@@ -262,9 +341,16 @@ class SegmentBuilder:
         metadata.partition_id = partitions.pop()
 
 
-def _jsonify_minmax(meta: ColumnMetadata) -> None:
-    """Convert numpy scalars in min/max to plain Python for JSON I/O."""
-    if isinstance(meta.min_value, np.generic):
-        meta.min_value = meta.min_value.item()
-    if isinstance(meta.max_value, np.generic):
-        meta.max_value = meta.max_value.item()
+def _permute_cells(flat: np.ndarray, offsets: np.ndarray,
+                   order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder multi-value cells so new document ``j`` is old ``order[j]``."""
+    lengths = np.diff(offsets)[order]
+    new_offsets = np.concatenate(([0], np.cumsum(lengths)))
+    gather = (np.repeat(offsets[:-1][order] - new_offsets[:-1], lengths)
+              + np.arange(new_offsets[-1]))
+    return flat[gather], new_offsets
+
+
+def _plain(value: Any) -> Any:
+    """Numpy scalars as plain Python, for JSON metadata I/O."""
+    return value.item() if isinstance(value, np.generic) else value

@@ -36,12 +36,13 @@ class Dictionary:
         if len(self._values) == 0:
             raise SegmentError("dictionary must contain at least one value")
         # Values must be strictly ascending for id-order == value-order.
-        for i in range(1, len(values)):
-            if not values[i - 1] < values[i]:
-                raise SegmentError(
-                    "dictionary values must be strictly ascending; "
-                    f"saw {values[i - 1]!r} before {values[i]!r}"
-                )
+        ascending = self._values[1:] > self._values[:-1]
+        if not ascending.all():
+            i = int(np.argmin(ascending)) + 1
+            raise SegmentError(
+                "dictionary values must be strictly ascending; "
+                f"saw {values[i - 1]!r} before {values[i]!r}"
+            )
 
     @classmethod
     def build(cls, dtype: DataType, raw_values: Iterable[Any]) -> "Dictionary":

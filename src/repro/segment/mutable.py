@@ -5,13 +5,19 @@ mutable in-memory segment. Queries must see those rows with seconds-level
 freshness, so the mutable segment can produce a queryable snapshot at
 any time; when the end criteria is reached the segment is *sealed* into
 a regular immutable segment, flushed, and committed.
+
+Rows are encoded once, on arrival, into a columnar
+:class:`~repro.segment.builder.SegmentBuilder`; a snapshot or the seal
+builds from those per-column accumulators without revisiting rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, Mapping
 
 from repro.common.schema import Schema
+from repro.common.types import FieldSpec
 from repro.errors import SegmentError
 from repro.segment.builder import SegmentBuilder, SegmentConfig
 from repro.segment.segment import ImmutableSegment
@@ -24,9 +30,15 @@ class MutableSegment:
                  config: SegmentConfig | None = None):
         self.segment_name = segment_name
         self.table_name = table_name
-        self.schema = schema
         self.config = config or SegmentConfig()
-        self._records: list[dict[str, Any]] = []
+        # Snapshots keep arrival order, so upsert valid-docId bitmaps
+        # stay aligned, and skip the structures only the seal builds.
+        self._snapshot_config = replace(
+            self.config, sorted_column=None, bloom_columns=(),
+            star_tree=None, timestamp_index=(),
+        )
+        self._builder = SegmentBuilder(segment_name, table_name, schema,
+                                       self.config)
         self._sealed = False
         # Snapshot cache: rebuilding an immutable view is only needed
         # when new rows have arrived since the last snapshot.
@@ -35,31 +47,46 @@ class MutableSegment:
         self.start_offset: int | None = None
         self.end_offset: int | None = None
 
+    @property
+    def schema(self) -> Schema:
+        return self._builder.schema
+
     # -- ingestion -------------------------------------------------------
 
-    def index(self, record: Mapping[str, Any]) -> None:
-        """Append one event (already decoded from the stream)."""
+    def index(self, record: Mapping[str, Any]) -> dict[str, Any]:
+        """Append one event (already decoded from the stream); returns
+        the row as normalized against :attr:`schema`."""
+        self._check_open()
+        return self._builder.add(record)
+
+    def append(self, row: Mapping[str, Any]) -> None:
+        """Append a row the caller already normalized against
+        :attr:`schema`."""
+        self._check_open()
+        self._builder.append(row)
+
+    def _check_open(self) -> None:
         if self._sealed:
             raise SegmentError(
                 f"segment {self.segment_name!r} is sealed; cannot index"
             )
-        self._records.append(self.schema.normalize(record))
 
-    def index_all(self, records: Iterable[Mapping[str, Any]]) -> None:
-        for record in records:
-            self.index(record)
+    def add_column(self, spec: FieldSpec) -> None:
+        """Schema evolution (§5.2): add a default-filled column."""
+        self._builder.add_column(spec)
+        self.invalidate_snapshot()
 
     @property
     def num_docs(self) -> int:
-        return len(self._records)
+        return len(self._builder)
 
     @property
     def is_sealed(self) -> bool:
         return self._sealed
 
     def records(self) -> list[dict[str, Any]]:
-        """A copy of the raw records consumed so far."""
-        return list(self._records)
+        """The normalized rows consumed so far, decoded from the columns."""
+        return self._builder.records()
 
     def estimated_size_bytes(self) -> int:
         """Byte accounting for an in-flight consuming segment.
@@ -68,7 +95,7 @@ class MutableSegment:
         rows x columns x 8 bytes, the same floor the sealed form's
         metadata-derived size bottoms out at.
         """
-        return max(1024, len(self._records) * len(self.schema.column_names) * 8)
+        return max(1024, self.num_docs * len(self.schema.column_names) * 8)
 
     # -- querying --------------------------------------------------------
 
@@ -76,23 +103,15 @@ class MutableSegment:
         """A queryable immutable view of the rows consumed so far.
 
         Returns None while empty. The snapshot is cached and only
-        rebuilt when new rows have arrived, so steady-state queries on a
-        quiet consuming segment are cheap.
+        rebuilt when new rows have arrived; a rebuild sorts each
+        column's distinct values and remaps the buffered ids, so it
+        never re-reads rows.
         """
-        if not self._records:
+        if not self.num_docs:
             return None
-        if self._snapshot is None or self._snapshot_rows != len(self._records):
-            builder = SegmentBuilder(
-                self.segment_name, self.table_name, self.schema,
-                SegmentConfig(
-                    inverted_columns=self.config.inverted_columns,
-                    partition_column=self.config.partition_column,
-                    num_partitions=self.config.num_partitions,
-                ),
-            )
-            builder.add_all(self._records)
-            self._snapshot = builder.build()
-            self._snapshot_rows = len(self._records)
+        if self._snapshot is None or self._snapshot_rows != self.num_docs:
+            self._snapshot = self._builder.build(self._snapshot_config)
+            self._snapshot_rows = self.num_docs
         return self._snapshot
 
     def invalidate_snapshot(self) -> None:
@@ -111,21 +130,19 @@ class MutableSegment:
         this mirrors how offline/completed segments are better optimized
         than consuming ones.
         """
-        if not self._records:
+        if not self.num_docs:
             raise SegmentError(
                 f"cannot seal empty segment {self.segment_name!r}"
             )
         self._sealed = True
-        builder = SegmentBuilder(
-            self.segment_name, self.table_name, self.schema, self.config
-        )
-        builder.add_all(self._records)
-        return builder.build()
+        return self._builder.build()
 
     def discard_and_replace(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Replace local rows with an authoritative copy (DISCARD, §3.3.6)."""
         if self._sealed:
             raise SegmentError("cannot replace rows of a sealed segment")
-        self._records = [self.schema.normalize(r) for r in records]
-        self._snapshot = None
-        self._snapshot_rows = -1
+        builder = SegmentBuilder(self.segment_name, self.table_name,
+                                 self.schema, self.config)
+        builder.add_all(records)
+        self._builder = builder
+        self.invalidate_snapshot()
