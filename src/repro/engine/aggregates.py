@@ -10,6 +10,22 @@ steps 6-7). Each function here therefore defines:
 * ``merge(a, b)`` — combine two states,
 * ``finalize(state)`` — final result value.
 
+Group-by partials are columnar (:class:`~repro.engine.results.
+GroupByPartial`): one *state column* per aggregation, row ``i`` being
+group ``i``'s state. COUNT's column is int64; SUM, MIN and MAX are
+float64; AVG and MINMAXRANGE are float64 arrays of shape ``(n, 2)``, a
+pair of columns (AVG's count is exact below 2**53); the object-state
+functions keep a plain list of their scalar states. Every
+function therefore also defines grouped counterparts:
+
+* ``aggregate_grouped(values, codes, num_groups)`` — state column from
+  raw values,
+* ``state_column(states)`` — state column from a list of scalar states,
+* ``merge_grouped(column, codes, num_groups)`` — fold the rows of a
+  state column that share a group code into one row per group, in row
+  order,
+* ``finalize_grouped(column)`` — finalized values, one per group.
+
 ``DISTINCTCOUNT`` and the percentiles keep exact intermediate sets /
 samples; production Pinot uses sketches (HLL, quantile digests) for
 these, which trade accuracy for bounded size — exactness is the better
@@ -65,9 +81,82 @@ class AggregateFunction:
     def finalize(self, state: Any) -> Any:
         raise NotImplementedError
 
+    # Object states: the column is a list, and the grouped operations
+    # loop over the scalar ``merge``/``finalize`` so their rules stay
+    # defined once.
 
-class CountFunction(AggregateFunction):
+    def state_column(self, states: list[Any]) -> Any:
+        return list(states)
+
+    def merge_grouped(self, column: Any, codes: np.ndarray,
+                      num_groups: int) -> Any:
+        merged: list[Any] = [None] * num_groups
+        for code, state in zip(codes.tolist(), column):
+            mine = merged[code]
+            merged[code] = state if mine is None else self.merge(mine, state)
+        return merged
+
+    def finalize_grouped(self, column: Any) -> Any:
+        return [self.finalize(state) for state in column]
+
+
+#: How one position of a numeric state merges: (ufunc, identity).
+_Part = tuple[np.ufunc, float]
+_ADD: _Part = (np.add, 0)
+_MIN: _Part = (np.minimum, math.inf)
+_MAX: _Part = (np.maximum, -math.inf)
+
+
+def _reduce_grouped(part: _Part, dtype: type, column: np.ndarray,
+                    codes: np.ndarray, num_groups: int) -> np.ndarray:
+    """Fold ``column`` per group code with the part's ufunc. Rows are
+    applied in order, so a float SUM accumulates exactly as a chain of
+    scalar ``a + b`` merges would."""
+    ufunc, identity = part
+    if ufunc is np.add and dtype is np.float64:
+        return np.bincount(codes, weights=column, minlength=num_groups)
+    out = np.full(num_groups, identity, dtype=dtype)
+    ufunc.at(out, codes, column)
+    return out
+
+
+class _NumericFunction(AggregateFunction):
+    """A function whose state is one number, or a fixed-size tuple of
+    them kept as the columns of a 2-D array."""
+
+    dtype: type = np.float64
+    #: One part for a scalar state; one per position for tuple states.
+    parts: tuple[_Part, ...] = ()
+
+    def row_states(self, values: np.ndarray) -> np.ndarray:
+        """The state column with one row per raw value."""
+        return values.astype(np.float64)
+
+    def aggregate_grouped(self, values, codes, num_groups):
+        return self.merge_grouped(self.row_states(values), codes,
+                                  num_groups)
+
+    def state_column(self, states):
+        return np.array(states, dtype=self.dtype)
+
+    def merge_grouped(self, column, codes, num_groups):
+        if column.ndim == 1:
+            return _reduce_grouped(self.parts[0], self.dtype, column, codes,
+                                   num_groups)
+        return np.column_stack([
+            _reduce_grouped(part, self.dtype, column[:, i], codes,
+                            num_groups)
+            for i, part in enumerate(self.parts)
+        ])
+
+    def finalize_grouped(self, column):
+        return column
+
+
+class CountFunction(_NumericFunction):
     needs_values = False
+    dtype = np.int64
+    parts = (_ADD,)
 
     def init_empty(self) -> int:
         return 0
@@ -76,7 +165,8 @@ class CountFunction(AggregateFunction):
         return int(len(values))
 
     def aggregate_grouped(self, values, codes, num_groups):
-        return np.bincount(codes, minlength=num_groups).tolist()
+        return np.bincount(codes, minlength=num_groups).astype(
+            np.int64, copy=False)
 
     def merge(self, a: int, b: int) -> int:
         return a + b
@@ -85,16 +175,14 @@ class CountFunction(AggregateFunction):
         return state
 
 
-class SumFunction(AggregateFunction):
+class SumFunction(_NumericFunction):
+    parts = (_ADD,)
+
     def init_empty(self) -> float:
         return 0.0
 
     def aggregate(self, values: np.ndarray) -> float:
         return float(values.sum()) if len(values) else 0.0
-
-    def aggregate_grouped(self, values, codes, num_groups):
-        return np.bincount(codes, weights=values.astype(np.float64),
-                           minlength=num_groups).tolist()
 
     def merge(self, a: float, b: float) -> float:
         return a + b
@@ -103,17 +191,14 @@ class SumFunction(AggregateFunction):
         return state
 
 
-class MinFunction(AggregateFunction):
+class MinFunction(_NumericFunction):
+    parts = (_MIN,)
+
     def init_empty(self) -> float:
         return math.inf
 
     def aggregate(self, values: np.ndarray) -> float:
         return float(values.min()) if len(values) else math.inf
-
-    def aggregate_grouped(self, values, codes, num_groups):
-        out = np.full(num_groups, np.inf)
-        np.minimum.at(out, codes, values.astype(np.float64))
-        return out.tolist()
 
     def merge(self, a: float, b: float) -> float:
         return min(a, b)
@@ -122,17 +207,14 @@ class MinFunction(AggregateFunction):
         return state
 
 
-class MaxFunction(AggregateFunction):
+class MaxFunction(_NumericFunction):
+    parts = (_MAX,)
+
     def init_empty(self) -> float:
         return -math.inf
 
     def aggregate(self, values: np.ndarray) -> float:
         return float(values.max()) if len(values) else -math.inf
-
-    def aggregate_grouped(self, values, codes, num_groups):
-        out = np.full(num_groups, -np.inf)
-        np.maximum.at(out, codes, values.astype(np.float64))
-        return out.tolist()
 
     def merge(self, a: float, b: float) -> float:
         return max(a, b)
@@ -141,8 +223,10 @@ class MaxFunction(AggregateFunction):
         return state
 
 
-class AvgFunction(AggregateFunction):
+class AvgFunction(_NumericFunction):
     """State is (sum, count); merged exactly, finalized to sum/count."""
+
+    parts = (_ADD, _ADD)
 
     def init_empty(self) -> tuple[float, int]:
         return (0.0, 0)
@@ -152,11 +236,9 @@ class AvgFunction(AggregateFunction):
             return (0.0, 0)
         return (float(values.sum()), int(len(values)))
 
-    def aggregate_grouped(self, values, codes, num_groups):
-        sums = np.bincount(codes, weights=values.astype(np.float64),
-                           minlength=num_groups)
-        counts = np.bincount(codes, minlength=num_groups)
-        return list(zip(sums.tolist(), counts.tolist()))
+    def row_states(self, values):
+        return np.column_stack((values.astype(np.float64),
+                                np.ones(len(values))))
 
     def merge(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -165,8 +247,16 @@ class AvgFunction(AggregateFunction):
         total, count = state
         return total / count if count else 0.0
 
+    def finalize_grouped(self, column):
+        totals, counts = column[:, 0], column[:, 1]
+        out = np.zeros(len(totals))
+        np.divide(totals, counts, out=out, where=counts != 0)
+        return out
 
-class MinMaxRangeFunction(AggregateFunction):
+
+class MinMaxRangeFunction(_NumericFunction):
+    parts = (_MIN, _MAX)
+
     def init_empty(self):
         return (math.inf, -math.inf)
 
@@ -175,13 +265,9 @@ class MinMaxRangeFunction(AggregateFunction):
             return (math.inf, -math.inf)
         return (float(values.min()), float(values.max()))
 
-    def aggregate_grouped(self, values, codes, num_groups):
-        lows = np.full(num_groups, np.inf)
-        highs = np.full(num_groups, -np.inf)
+    def row_states(self, values):
         v = values.astype(np.float64)
-        np.minimum.at(lows, codes, v)
-        np.maximum.at(highs, codes, v)
-        return list(zip(lows.tolist(), highs.tolist()))
+        return np.column_stack((v, v))
 
     def merge(self, a, b):
         return (min(a[0], b[0]), max(a[1], b[1]))
@@ -191,6 +277,10 @@ class MinMaxRangeFunction(AggregateFunction):
         if math.isinf(low):
             return 0.0
         return high - low
+
+    def finalize_grouped(self, column):
+        lows, highs = column[:, 0], column[:, 1]
+        return np.where(np.isinf(lows), 0.0, highs - lows)
 
 
 class DistinctCountFunction(AggregateFunction):
@@ -354,6 +444,28 @@ _FUNCTIONS: dict[AggFunc, AggregateFunction] = {
     AggFunc.PERCENTILEEST95: PercentileEstFunction(95.0),
     AggFunc.PERCENTILEEST99: PercentileEstFunction(99.0),
 }
+
+
+def preaggregated_state_column(func: AggFunc, counts: np.ndarray,
+                               sums: np.ndarray, mins: np.ndarray,
+                               maxs: np.ndarray) -> Any:
+    """The state column of a metric aggregation over pre-aggregated
+    records (star-tree records, timestamp-index buckets). Each record
+    already is a partial state over its rows, so grouping records is
+    ``merge_grouped`` over this column; COUNT's column is ``counts``."""
+    if func is AggFunc.SUM:
+        return sums
+    if func is AggFunc.MIN:
+        return mins
+    if func is AggFunc.MAX:
+        return maxs
+    if func is AggFunc.AVG:
+        return np.column_stack((sums, counts)).astype(np.float64)
+    if func is AggFunc.MINMAXRANGE:
+        return np.column_stack((mins, maxs)).astype(np.float64)
+    raise ExecutionError(f"{func} is not answerable from pre-aggregated "
+                         "records")
+
 
 #: Functions a star-tree's pre-aggregated metrics can serve directly.
 #: COUNT re-aggregates as SUM of pre-aggregated counts (§4.3).

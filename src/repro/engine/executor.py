@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.aggregates import function_for
+from repro.engine.aggregates import function_for, preaggregated_state_column
 from repro.engine.groupby import execute_group_by
 from repro.engine.operators import DocSelection
 from repro.engine.planner import PlanKind, SegmentPlan, plan_segment
 from repro.engine.results import (
     AggregationPartial,
     ExecutionStats,
+    GroupByPartial,
     SegmentResult,
     SelectionPartial,
 )
@@ -151,8 +152,6 @@ def prune_result(segment: ImmutableSegment, query: Query) -> SegmentResult:
 def _empty_result(query: Query, stats: ExecutionStats) -> SegmentResult:
     result = SegmentResult(stats=stats)
     if query.group_by:
-        from repro.engine.results import GroupByPartial
-
         result.group_by = GroupByPartial()
     elif query.is_aggregation:
         result.aggregation = AggregationPartial.empty(query.aggregations)
@@ -170,8 +169,8 @@ def _execute_time_index(plan: SegmentPlan,
 
     The partial states produced here have the exact shapes the scan
     path emits (COUNT=int, SUM=float, MIN/MAX=float, AVG=(sum, count),
-    MINMAXRANGE=(min, max)), so broker/server merges cannot tell the
-    two plans apart.
+    MINMAXRANGE=(min, max); grouped, the same state columns), so
+    broker/server merges cannot tell the two plans apart.
     """
     query = plan.query
     rollup = plan.time_rollup
@@ -195,17 +194,18 @@ def _execute_time_index(plan: SegmentPlan,
     size = plan.time_bucket_size or 1
     keys = (buckets // size) * size if size > 1 else buckets
     uniq, inverse = np.unique(keys, return_inverse=True)
-    num_groups = len(uniq)
-    per_agg = [
-        _rollup_grouped_states(a, rollup, window, counts, inverse, num_groups)
-        for a in query.aggregations
-    ]
-    from repro.engine.results import GroupByPartial
-
-    result.group_by = GroupByPartial({
-        (int(uniq[g]),): [states[g] for states in per_agg]
-        for g in range(num_groups)
-    })
+    states = []
+    for aggregation in query.aggregations:
+        if aggregation.func is AggFunc.COUNT:
+            column = counts
+        else:
+            name = aggregation.column
+            column = preaggregated_state_column(
+                aggregation.func, counts, rollup.sums[name][window],
+                rollup.mins[name][window], rollup.maxs[name][window])
+        states.append(function_for(aggregation).merge_grouped(
+            column, inverse, len(uniq)))
+    result.group_by = GroupByPartial([uniq], states)
     return result
 
 
@@ -230,40 +230,6 @@ def _rollup_total_state(aggregation, rollup, window: slice,
         if empty:
             return (float("inf"), float("-inf"))
         return (float(mins.min()), float(maxs.max()))
-    raise ExecutionError(  # pragma: no cover - planner guarantees
-        f"{func} is not answerable from the timestamp index"
-    )
-
-
-def _rollup_grouped_states(aggregation, rollup, window: slice,
-                           counts: np.ndarray, inverse: np.ndarray,
-                           num_groups: int) -> list:
-    func = aggregation.func
-    group_counts = np.zeros(num_groups, dtype=np.int64)
-    np.add.at(group_counts, inverse, counts)
-    if func is AggFunc.COUNT:
-        return [int(c) for c in group_counts]
-    sums = rollup.sums[aggregation.column][window]
-    mins = rollup.mins[aggregation.column][window]
-    maxs = rollup.maxs[aggregation.column][window]
-    if func in (AggFunc.SUM, AggFunc.AVG):
-        group_sums = np.zeros(num_groups)
-        np.add.at(group_sums, inverse, sums)
-        if func is AggFunc.SUM:
-            return [float(s) for s in group_sums]
-        return [(float(s), int(c))
-                for s, c in zip(group_sums, group_counts)]
-    group_mins = np.full(num_groups, np.inf)
-    group_maxs = np.full(num_groups, -np.inf)
-    np.minimum.at(group_mins, inverse, mins)
-    np.maximum.at(group_maxs, inverse, maxs)
-    if func is AggFunc.MIN:
-        return [float(v) for v in group_mins]
-    if func is AggFunc.MAX:
-        return [float(v) for v in group_maxs]
-    if func is AggFunc.MINMAXRANGE:
-        return [(float(lo), float(hi))
-                for lo, hi in zip(group_mins, group_maxs)]
     raise ExecutionError(  # pragma: no cover - planner guarantees
         f"{func} is not answerable from the timestamp index"
     )

@@ -4,7 +4,9 @@ Group keys are computed in dictionary-id space: each single-value group
 column contributes its per-document dictionary ids, the ids are combined
 into one mixed-radix code per document, and every aggregation function
 runs once per group via its vectorized ``aggregate_grouped``. Keys are
-decoded back to values only for the groups that actually occur.
+decoded back to values only for the groups that actually occur, one
+``Dictionary.values_of`` per column, into a columnar
+:class:`~repro.engine.results.GroupByPartial`.
 
 A multi-value group column contributes one group *per value* of each
 document (matching Pinot's semantics); at most one multi-value group
@@ -26,9 +28,8 @@ from repro.segment.segment import ImmutableSegment
 def execute_group_by(segment: ImmutableSegment, query: Query,
                      selection: DocSelection) -> GroupByPartial:
     """Aggregate ``selection`` grouped by ``query.group_by``."""
-    partial = GroupByPartial()
     if selection.is_empty:
-        return partial
+        return GroupByPartial()
 
     docs = selection.doc_array()
     group_columns = [segment.column(group_by_column(g))
@@ -47,14 +48,14 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
         id_columns = [column.dict_ids()[docs] for column in group_columns]
 
     if len(docs) == 0:
-        return partial
+        return GroupByPartial()
 
     # A TIMEBUCKET entry re-keys its column in *bucket* space: map each
     # dictionary id to its bucket once (cardinality-many floors, not
     # row-many), renumber the buckets densely, and decode group keys
     # from the bucket values instead of the dictionary.
     cards: list[int] = []
-    decoders: list = []
+    bucket_values: list[np.ndarray | None] = []
     for i, (expr, column) in enumerate(zip(query.group_by, group_columns)):
         if isinstance(expr, TimeBucket):
             if column.is_multi_value:
@@ -69,40 +70,31 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
             id_columns[i] = inverse[np.asarray(id_columns[i],
                                                dtype=np.int64)]
             cards.append(len(buckets))
-            decoders.append(
-                lambda key_id, b=buckets: int(b[int(key_id)])
-            )
+            bucket_values.append(buckets)
         else:
             cards.append(column.dictionary.cardinality)
-            decoders.append(
-                lambda key_id, c=column: c.dictionary.value_of(int(key_id))
-            )
+            bucket_values.append(None)
 
-    codes, unique_key_ids = _combine_codes(cards, id_columns)
-    num_groups = len(unique_key_ids[0]) if unique_key_ids else 0
+    codes, unique_key_ids = combine_codes(cards, id_columns)
+    num_groups = len(unique_key_ids[0])
+    keys = [
+        column.dictionary.values_of(ids) if buckets is None else buckets[ids]
+        for column, buckets, ids in zip(group_columns, bucket_values,
+                                        unique_key_ids)
+    ]
 
     # Aggregate each function over all groups at once.
-    per_agg_states: list[list] = []
+    states = []
     for aggregation in query.aggregations:
         func = function_for(aggregation)
         if func.needs_values:
             values = segment.column(aggregation.column).values()[docs]
         else:
             values = np.empty(len(docs))
-        per_agg_states.append(
+        states.append(
             func.aggregate_grouped(np.asarray(values), codes, num_groups)
         )
-
-    # Decode group keys back to values.
-    for group_index in range(num_groups):
-        key = tuple(
-            decoders[i](unique_key_ids[i][group_index])
-            for i in range(len(decoders))
-        )
-        partial.groups[key] = [
-            states[group_index] for states in per_agg_states
-        ]
-    return partial
+    return GroupByPartial(keys, states)
 
 
 def _expand_multi_value(group_columns, docs: np.ndarray, mv_column):
@@ -125,7 +117,7 @@ def _expand_multi_value(group_columns, docs: np.ndarray, mv_column):
     return expanded_docs, id_columns
 
 
-def _combine_codes(cards, id_columns):
+def combine_codes(cards, id_columns):
     """Pack per-column key ids into one group key per row; returns
     (compact codes per row, per-column unique key ids per group).
 

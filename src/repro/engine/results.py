@@ -9,8 +9,11 @@ the response *partial* rather than failing it (step 7).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.engine.aggregates import function_for
 from repro.pql.ast_nodes import Aggregation, ColumnRef, Query
@@ -81,22 +84,93 @@ class AggregationPartial:
             self.states[i] = func.merge(self.states[i], other.states[i])
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupByPartial:
-    """Per-group partial states keyed by the group-by value tuple."""
+    """Per-group partial states, stored column-wise.
 
-    groups: dict[tuple, list[Any]] = field(default_factory=dict)
+    ``keys`` holds one column per GROUP BY expression and ``states`` one
+    state column per aggregation (shapes in
+    :mod:`repro.engine.aggregates`); row ``i`` across all columns is one
+    group, and no key tuple occurs twice. A partial without groups may
+    have no columns at all.
+    """
 
-    def merge(self, other: "GroupByPartial",
-              aggregations: tuple[Aggregation, ...]) -> None:
-        funcs = [function_for(a) for a in aggregations]
-        for key, states in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                self.groups[key] = list(states)
-            else:
-                for i, func in enumerate(funcs):
-                    mine[i] = func.merge(mine[i], states[i])
+    keys: list[np.ndarray] = field(default_factory=list)
+    states: list[Any] = field(default_factory=list)
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.keys[0]) if self.keys else 0
+
+    @classmethod
+    def from_groups(cls, groups: Mapping[tuple, list[Any]],
+                    aggregations: tuple[Aggregation, ...]
+                    ) -> "GroupByPartial":
+        """The columnar form of a ``{key tuple: [states]}`` mapping."""
+        if not groups:
+            return cls()
+        keys = list(groups)
+        rows = list(groups.values())
+        return cls(
+            [key_column([key[i] for key in keys])
+             for i in range(len(keys[0]))],
+            [function_for(a).state_column([row[j] for row in rows])
+             for j, a in enumerate(aggregations)],
+        )
+
+    @property
+    def groups(self) -> Mapping[tuple, list[Any]]:
+        """Read-only ``{key tuple: [states]}`` view, decoded lazily."""
+        return _GroupsView(self)
+
+
+def key_column(values: list[Any]) -> np.ndarray:
+    """A group-key column from Python values: numbers and booleans keep
+    their numpy dtype, anything else (strings) becomes an object
+    array."""
+    column = np.asarray(values)
+    if column.dtype.kind in "biuf":
+        return column
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+def _state_list(column: Any) -> list[Any]:
+    """The scalar states of a state column, as Python values."""
+    if not isinstance(column, np.ndarray):
+        return list(column)
+    if column.ndim == 2:
+        return [tuple(row) for row in column.tolist()]
+    return column.tolist()
+
+
+class _GroupsView(Mapping):
+    """``len()`` is O(1); keys and states decode on first access."""
+
+    __slots__ = ("_partial", "_decoded")
+
+    def __init__(self, partial: GroupByPartial):
+        self._partial = partial
+        self._decoded: dict[tuple, list[Any]] | None = None
+
+    def _dict(self) -> dict[tuple, list[Any]]:
+        if self._decoded is None:
+            partial = self._partial
+            keys = zip(*(column.tolist() for column in partial.keys))
+            states = zip(*(_state_list(c) for c in partial.states))
+            self._decoded = {key: list(row)
+                             for key, row in zip(keys, states)}
+        return self._decoded
+
+    def __len__(self) -> int:
+        return self._partial.num_groups
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._dict())
+
+    def __getitem__(self, key: tuple) -> list[Any]:
+        return list(self._dict()[key])
 
 
 @dataclass
@@ -224,12 +298,6 @@ def row_sort_key(query: Query, columns: tuple[str, ...]):
     return key
 
 
-def selection_sort_key(query: Query):
-    """Key function for ORDER BY on selection rows (tuples aligned with
-    the query's projected columns)."""
-    return row_sort_key(query, tuple(i.name for i in query.projections))
-
-
 class _Reversed:
     """Wrapper inverting comparison order for DESC sort keys."""
 
@@ -245,33 +313,35 @@ class _Reversed:
         return isinstance(other, _Reversed) and other.value == self.value
 
 
-def group_sort_key(query: Query):
-    """Key for ordering (key, finalized_values) group entries.
+def group_order(query: Query) -> list[tuple[str, int, bool]]:
+    """The group ordering as ``(kind, index, descending)`` specs, where
+    ``kind`` is ``"agg"`` (index into the aggregations) or ``"key"``
+    (index into the group-by columns).
 
     With an explicit ORDER BY the listed expressions are honored; PQL's
     default for TOP-n group-by is descending by the first aggregation.
     """
-    aggregations = query.aggregations
-    group_columns = list(query.group_by)
-
     if not query.order_by:
-        def default_key(entry):
-            group_key, values = entry
-            # Group key as tiebreaker: deterministic TOP-n truncation
-            # even when aggregate values tie at the cut-off.
-            return (_Reversed(values[0]), group_key)
-
-        return default_key
-
+        return [("agg", 0, True)]
+    group_columns = list(query.group_by)
     specs: list[tuple[str, int, bool]] = []
     for ordering in query.order_by:
         expr = ordering.expression
         if isinstance(expr, Aggregation):
-            specs.append(("agg", aggregations.index(expr),
+            specs.append(("agg", query.aggregations.index(expr),
                           ordering.descending))
         else:
             specs.append(("key", group_columns.index(expr.name),
                           ordering.descending))
+    return specs
+
+
+def group_sort_key(query: Query):
+    """Key for ordering (key, finalized_values) group entries by
+    :func:`group_order`, with the group key as the final tiebreak so
+    TOP-n truncation is deterministic even when values tie at the
+    cut-off."""
+    specs = group_order(query)
 
     def key(entry):
         group_key, values = entry
@@ -279,7 +349,7 @@ def group_sort_key(query: Query):
         for kind, index, descending in specs:
             value = values[index] if kind == "agg" else group_key[index]
             parts.append(_Reversed(value) if descending else value)
-        parts.append(group_key)  # deterministic tiebreak
+        parts.append(group_key)
         return tuple(parts)
 
     return key

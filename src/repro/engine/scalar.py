@@ -357,7 +357,6 @@ def _execute_group_by(segment: ImmutableSegment, query: Query,
             f"{[c.name for c in multi_value]}"
         )
 
-    partial = GroupByPartial()
     accumulators: dict[tuple, list[_Accumulator]] = {}
     matched = 0
     entries = 0
@@ -396,9 +395,11 @@ def _execute_group_by(segment: ImmutableSegment, query: Query,
     stats.num_entries_scanned_post_filter = entries * (
         len(group_columns) + values_needed
     )
-    for key, group in accumulators.items():
-        partial.groups[key] = [a.state() for a in group]
-    return partial
+    return GroupByPartial.from_groups(
+        {key: [a.state() for a in group]
+         for key, group in accumulators.items()},
+        query.aggregations,
+    )
 
 
 # -- scalar selection (projection) -------------------------------------------

@@ -12,7 +12,9 @@ cached) response, exactly as if the bytes had left the process.
 Encoding is *tagged*: anything that is not a JSON primitive becomes a
 ``{"~": tag, ...}`` dict. Dataclasses under ``repro.*`` and enums are
 handled generically; numpy scalars/arrays and the HyperLogLog sketch
-have dedicated tags so aggregation partials ship losslessly.
+have dedicated tags so aggregation partials ship losslessly. A numeric
+array ships as one flat list; an object array (a STRING group-key
+column) encodes each element, so its elements are copied too.
 
 Bulk immutable payloads (sealed segments travelling server -> broker ->
 object store during a commit) are **blobs**: the tree carries a sized
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import importlib
 import json
 from typing import Any
@@ -52,7 +55,10 @@ def _class_path(cls: type) -> str:
     return f"{cls.__module__}:{cls.__qualname__}"
 
 
+@functools.cache
 def _resolve_class(path: str) -> type:
+    """The class at ``path``, resolved once per path. Refusals and
+    lookup errors raise on every call (exceptions are not cached)."""
     module_name, __, qualname = path.partition(":")
     if not module_name.startswith("repro"):
         raise PinotError(f"codec refuses non-repro class {path!r}")
@@ -105,6 +111,9 @@ def encode(obj: Any, blobs: list[Any] | None = None) -> Any:
     if isinstance(obj, np.generic):
         return {"~": "np", "d": obj.dtype.str, "v": obj.item()}
     if isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            return {"~": "nd", "d": obj.dtype.str, "s": list(obj.shape),
+                    "v": [encode(item, blobs) for item in obj.flat]}
         return {"~": "nd", "d": obj.dtype.str, "v": obj.tolist()}
     if isinstance(obj, enum.Enum):
         return {"~": "e", "c": _class_path(type(obj)),
@@ -158,7 +167,12 @@ def decode(tree: Any, blobs: list[Any] | None = None) -> Any:
     if tag == "np":
         return np.dtype(tree["d"]).type(tree["v"])
     if tag == "nd":
-        return np.asarray(tree["v"], dtype=np.dtype(tree["d"]))
+        dtype = np.dtype(tree["d"])
+        if dtype.hasobject:
+            items = [decode(item, blobs) for item in tree["v"]]
+            return np.fromiter(items, dtype=dtype,
+                               count=len(items)).reshape(tree["s"])
+        return np.asarray(tree["v"], dtype=dtype)
     if tag == "e":
         return _resolve_class(tree["c"])(decode(tree["v"], blobs))
     if tag == "b":

@@ -9,11 +9,14 @@ indexes, pruning, routing, merging or caching cannot cancel itself out
 here.
 
 The oracle understands the aggregation surface the schedule generators
-emit: ``count/sum/min/max/avg/distinctcount/minmaxrange`` plus exact
-percentiles, optional WHERE, and single-level GROUP BY (plain columns
-or ``timebucket(...)``) with PQL's default TOP-n ordering (first
-aggregate descending, group key ascending — the same deterministic
-ordering the broker's reduce applies).
+and the grouped-merge parity suite emit:
+``count/sum/min/max/avg/distinctcount/minmaxrange`` plus exact
+percentiles, optional WHERE, and GROUP BY over plain columns,
+``timebucket(...)`` and multi-value columns (one group per entry),
+with HAVING, ORDER BY and OFFSET. Without ORDER BY it applies PQL's
+default TOP-n ordering (first aggregate descending); the group key
+ascending breaks every tie — the same deterministic ordering the
+broker's reduce applies.
 
 For the sketch aggregations (``distinctcounthll``, ``percentileest*``)
 the oracle computes the *exact* reference value; :func:`approx_check`
@@ -92,12 +95,26 @@ def _aggregate(aggregation: Aggregation,
     raise ValueError(f"oracle does not model aggregation {name!r}")
 
 
-def _group_key(query: Query, record: Mapping[str, Any]) -> tuple:
-    return tuple(
-        g.bucket_of(record[g.column]) if isinstance(g, TimeBucket)
-        else record[g]
-        for g in query.group_by
-    )
+def _group_keys(query: Query, record: Mapping[str, Any]) -> list[tuple]:
+    """The record's group keys: one per entry of a multi-value column."""
+    keys: list[tuple] = [()]
+    for g in query.group_by:
+        if isinstance(g, TimeBucket):
+            entries = [g.bucket_of(record[g.column])]
+        else:
+            value = record[g]
+            entries = value if isinstance(value, (list, tuple)) else [value]
+        keys = [key + (entry,) for key in keys for entry in entries]
+    return keys
+
+
+def _groups(query: Query, records: Sequence[Mapping[str, Any]]
+            ) -> dict[tuple, list]:
+    groups: dict[tuple, list] = {}
+    for record in records:
+        for key in _group_keys(query, record):
+            groups.setdefault(key, []).append(record)
+    return groups
 
 
 class _Reversed:
@@ -126,16 +143,39 @@ def expected_rows(query: Query,
     if not query.group_by:
         return [tuple(_aggregate(a, records) for a in query.aggregations)]
 
-    groups: dict[tuple, list] = {}
-    for record in records:
-        groups.setdefault(_group_key(query, record), []).append(record)
     entries = [
         (key, tuple(_aggregate(a, rows) for a in query.aggregations))
-        for key, rows in groups.items()
+        for key, rows in _groups(query, records).items()
     ]
-    entries.sort(key=lambda entry: (_Reversed(entry[1][0]), entry[0]))
+    entries = [
+        (key, values) for key, values in entries
+        if all(c.matches(values[query.aggregations.index(c.aggregation)])
+               for c in query.having)
+    ]
+    entries.sort(key=_order_key(query))
     window = entries[query.offset:query.offset + query.limit]
     return [key + values for key, values in window]
+
+
+def _order_key(query: Query):
+    """Sort key: the ORDER BY expressions (default: the first aggregate
+    descending), then the group key."""
+    orderings = ([(o.expression, o.descending) for o in query.order_by]
+                 or [(query.aggregations[0], True)])
+    group_names = list(query.group_by)
+
+    def key(entry):
+        group_key, values = entry
+        parts = []
+        for expression, descending in orderings:
+            if isinstance(expression, Aggregation):
+                value = values[query.aggregations.index(expression)]
+            else:
+                value = group_key[group_names.index(expression.name)]
+            parts.append(_Reversed(value) if descending else value)
+        return (*parts, group_key)
+
+    return key
 
 
 def _values_match(actual: Any, expected: Any) -> bool:
@@ -211,9 +251,7 @@ def approx_check(query: Query,
             return f"expected 1 row, got {len(actual_rows)}"
         return _check_approx_row(aggs, records, actual_rows[0])
 
-    groups: dict[tuple, list] = {}
-    for record in records:
-        groups.setdefault(_group_key(query, record), []).append(record)
+    groups = _groups(query, records)
     if len(actual_rows) != len(groups):
         return f"expected {len(groups)} groups, got {len(actual_rows)}"
     key_len = len(query.group_by)

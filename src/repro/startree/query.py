@@ -29,7 +29,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.results import AggregationPartial, GroupByPartial
+from repro.engine.aggregates import function_for, preaggregated_state_column
+from repro.engine.groupby import combine_codes
+from repro.engine.results import (
+    AggregationPartial,
+    GroupByPartial,
+    key_column,
+)
 from repro.errors import ExecutionError
 from repro.pql.ast_nodes import (
     AggFunc,
@@ -243,31 +249,30 @@ def _aggregate(tree: StarTree, query: Query,
 
 def _group_by(tree: StarTree, query: Query,
               rows: np.ndarray) -> GroupByPartial:
-    partial = GroupByPartial()
     if not len(rows):
-        return partial
+        return GroupByPartial()
     dims = [tree.dimension_index(c) for c in query.group_by]
-    # Mixed-radix combine into one code per row (selected rows never
-    # carry STAR_ID in grouped dimensions; see traversal invariants).
-    codes = np.zeros(len(rows), dtype=np.int64)
-    for dim in dims:
-        cardinality = len(tree.dictionaries[dim])
-        codes = codes * cardinality + tree.dim_ids[rows, dim]
-    order = np.argsort(codes, kind="stable")
-    sorted_rows = rows[order]
-    sorted_codes = codes[order]
-    boundaries = np.concatenate(
-        ([0], np.nonzero(np.diff(sorted_codes))[0] + 1, [len(rows)])
+    # Selected rows never carry STAR_ID in grouped dimensions (see
+    # traversal invariants), so dictionary ids are the group key ids.
+    codes, unique_ids = combine_codes(
+        [len(tree.dictionaries[dim]) for dim in dims],
+        [tree.dim_ids[rows, dim] for dim in dims],
     )
-    aggregations = query.aggregations
-    for i in range(len(boundaries) - 1):
-        group_rows = sorted_rows[boundaries[i]:boundaries[i + 1]]
-        first = group_rows[0]
-        key = tuple(
-            tree.value_of(dim, int(tree.dim_ids[first, dim])) for dim in dims
-        )
-        partial.groups[key] = [
-            _agg_state(tree, a.func, a.column, group_rows)
-            for a in aggregations
-        ]
-    return partial
+    keys = [
+        key_column([tree.dictionaries[dim][i] for i in ids.tolist()])
+        for dim, ids in zip(dims, unique_ids)
+    ]
+    num_groups = len(keys[0])
+    counts = tree.counts[rows]
+    states = []
+    for aggregation in query.aggregations:
+        if aggregation.func is AggFunc.COUNT:
+            column = counts
+        else:
+            metric = tree.metrics[aggregation.column]
+            column = preaggregated_state_column(
+                aggregation.func, counts, metric.sums[rows],
+                metric.mins[rows], metric.maxs[rows])
+        states.append(function_for(aggregation).merge_grouped(
+            column, codes, num_groups))
+    return GroupByPartial(keys, states)

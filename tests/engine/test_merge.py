@@ -33,8 +33,10 @@ class TestCombineSegments:
 
     def test_group_by_merges_keys(self):
         query = q("SELECT sum(m) FROM t GROUP BY s")
-        a = GroupByPartial({("x",): [1.0], ("y",): [2.0]})
-        b = GroupByPartial({("y",): [3.0], ("z",): [4.0]})
+        a = GroupByPartial.from_groups({("x",): [1.0], ("y",): [2.0]},
+                                       query.aggregations)
+        b = GroupByPartial.from_groups({("y",): [3.0], ("z",): [4.0]},
+                                       query.aggregations)
         combined = combine_segment_results(
             query,
             [SegmentResult(group_by=a), SegmentResult(group_by=b)],
@@ -42,6 +44,7 @@ class TestCombineSegments:
         assert combined.group_by.groups == {
             ("x",): [1.0], ("y",): [5.0], ("z",): [4.0]
         }
+        assert len(combined.group_by.groups) == 3
 
     def test_selection_rows_trimmed_to_limit(self):
         query = q("SELECT a FROM t LIMIT 3")
@@ -78,8 +81,9 @@ class TestReduce:
     def test_group_by_top_n_applied_at_reduce(self):
         query = q("SELECT sum(m) FROM t GROUP BY s TOP 2")
         servers = [
-            ServerResult("s1", group_by=GroupByPartial(
-                {("a",): [5.0], ("b",): [1.0], ("c",): [9.0]}
+            ServerResult("s1", group_by=GroupByPartial.from_groups(
+                {("a",): [5.0], ("b",): [1.0], ("c",): [9.0]},
+                query.aggregations,
             )),
         ]
         response = reduce_server_results(query, servers)

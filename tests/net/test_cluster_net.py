@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster.pinot import PinotCluster
@@ -60,13 +61,24 @@ class TestSerializationBoundary:
         baseline = json.dumps(first.rows, default=str)
         assert wrapper.returned
 
-        # The server trashes every result object it ever returned.
+        # The server trashes every result object it ever returned:
+        # every key and state column is overwritten in place, then a
+        # poison group is appended.
+        poisoned = 0
         for result in wrapper.returned:
-            if result.group_by is not None:
-                for states in result.group_by.groups.values():
-                    states[:] = [10 ** 9 for _ in states]
-                result.group_by.groups[("poison",)] = [10 ** 9]
+            partial = result.group_by
+            if partial is not None and partial.num_groups:
+                for column in partial.keys:
+                    column[:] = "poison"
+                for column in partial.states:
+                    column[:] = 10 ** 9
+                partial.keys = [np.append(c, "poison") for c in partial.keys]
+                partial.states = [np.append(c, 10 ** 9)
+                                  for c in partial.states]
+                assert set(partial.groups) == {("poison",)}
+                poisoned += 1
             result.server = "poisoned"
+        assert poisoned
 
         # Neither the already-returned response nor a cache hit nor a
         # fresh scatter sees the mutation.

@@ -13,7 +13,12 @@ from repro.engine.results import ExecutionStats, ServerResult
 from repro.engine.sketches import HyperLogLog
 from repro.errors import PinotError, SegmentError, ThrottledError
 from repro.net import decode, encode, json_roundtrip
-from repro.net.codec import decode_error, encode_error, payload_bytes
+from repro.net.codec import (
+    _resolve_class,
+    decode_error,
+    encode_error,
+    payload_bytes,
+)
 from repro.obs.metrics import runtime_metrics
 
 pytestmark = pytest.mark.net
@@ -66,6 +71,20 @@ class TestNumpyAndSketches:
         assert out.dtype == np.int32
         np.testing.assert_array_equal(out, arr)
 
+    def test_object_array_elements_are_encoded_and_copied(self):
+        members = {1, 2}
+        arr = np.empty(3, dtype=object)
+        arr[0], arr[1], arr[2] = frozenset({7}), ("a", 1), members
+        tree = encode(arr)
+        # The sender reuses its buffers after encoding.
+        members.add(3)
+        arr[0] = "changed"
+        for out in (decode(tree), decode(json_roundtrip(tree))):
+            assert out.dtype == object and out.shape == (3,)
+            assert out[0] == frozenset({7})
+            assert type(out[1]) is tuple and out[1] == ("a", 1)
+            assert out[2] == {1, 2}
+
     def test_hyperloglog_estimate_survives(self):
         hll = HyperLogLog(precision=10)
         for i in range(5000):
@@ -103,6 +122,16 @@ class TestStructured:
     def test_decode_refuses_non_repro_class_path(self):
         with pytest.raises(PinotError, match="refuses non-repro"):
             decode({"~": "dc", "c": "os:system", "v": {}})
+
+    def test_class_paths_resolve_once_and_refusals_repeat(self):
+        path = "repro.common.types:DataType"
+        assert _resolve_class(path) is DataType
+        hits = _resolve_class.cache_info().hits
+        assert roundtrip(DataType.INT) is DataType.INT
+        assert _resolve_class.cache_info().hits == hits + 1
+        for __ in range(3):
+            with pytest.raises(PinotError, match="refuses non-repro"):
+                decode({"~": "dc", "c": "os:system", "v": {}})
 
 
 class TestErrors:
