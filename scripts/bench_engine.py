@@ -8,7 +8,7 @@ identical segments:
 * ``vectorized`` — the numpy batch-kernel engine (selection vectors,
   late materialization, grouped kernels);
 * ``scalar``     — the row-at-a-time Python oracle
-  (``OPTION(vectorized=false)``).
+  (``execute_segment_scalar``), combined and reduced the same way.
 
 Results are cross-checked for exact agreement first (we only compare
 the performance of *correct* engines), then timed, and a
@@ -44,10 +44,24 @@ from repro.bench.harness import (  # noqa: E402
     measure,
     verify_engines_agree,
 )
+from repro.engine.merge import (  # noqa: E402
+    combine_segment_results,
+    reduce_server_results,
+)
+from repro.engine.scalar import execute_segment_scalar  # noqa: E402
 from repro.segment.builder import SegmentBuilder  # noqa: E402
 
 SCHEMA_VERSION = 1
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
+
+
+def _scalar_executor(segment):
+    def execute(query):
+        result = execute_segment_scalar(segment, query)
+        server = combine_segment_results(query, [result])
+        return reduce_server_results(query, [server])
+
+    return execute
 
 
 def _build_figure(name, workload, num_rows, num_queries, segment_config):
@@ -63,8 +77,7 @@ def _build_figure(name, workload, num_rows, num_queries, segment_config):
     engines = {
         "vectorized": make_segment_executor([segment],
                                             allow_star_tree=False),
-        "scalar": make_segment_executor([segment], allow_star_tree=False,
-                                        vectorized=False),
+        "scalar": _scalar_executor(segment),
     }
     return engines, queries
 

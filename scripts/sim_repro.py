@@ -11,6 +11,9 @@ Usage:
     # replay a recorded failure artifact exactly
     python scripts/sim_repro.py --schedule sim-artifacts/sim-seed42-query_oracle.json
 
+    # also check every server segment execution against the scalar oracle
+    python scripts/sim_repro.py --sweep 0:20 --scalar-parity
+
 Exit status is 0 when every run passes, 1 otherwise.
 """
 
@@ -18,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sim.artifact import load_artifact, write_artifact  # noqa: E402
 from repro.sim.harness import run_schedule, run_seed  # noqa: E402
+from repro.sim.parity import scalar_parity  # noqa: E402
 from repro.sim.shrink import shrink  # noqa: E402
 
 
@@ -42,17 +47,24 @@ def _report_failure(result, args) -> None:
 
 
 def _run_one(seed: int, args) -> bool:
-    config = {"engine_vectorized": args.engine != "scalar",
-              "workload": args.workload}
+    config = {"workload": args.workload}
     if args.memory_budget is not None:
         config["store_budget_bytes"] = args.memory_budget
         config["store_policy"] = args.store_policy
-    result = run_seed(seed, num_steps=args.steps, config=config)
-    print(result.summary(), flush=True)
-    if result.ok:
-        return True
-    _report_failure(result, args)
-    return False
+    with scalar_parity() if args.scalar_parity else nullcontext() as parity:
+        result = run_seed(seed, num_steps=args.steps, config=config)
+    passed = result.ok
+    if parity is None:
+        print(result.summary(), flush=True)
+    else:
+        print(f"{result.summary()} scalar_parity={parity.checked} checked, "
+              f"{len(parity.mismatches)} mismatched", flush=True)
+        for mismatch in parity.mismatches:
+            print(f"  seed {seed}: scalar parity mismatch: {mismatch}")
+        passed = passed and parity.checked > 0 and not parity.mismatches
+    if not result.ok:
+        _report_failure(result, args)
+    return passed
 
 
 def main() -> int:
@@ -70,11 +82,10 @@ def main() -> int:
                         help="skip minimization on failure")
     parser.add_argument("--keep-going", action="store_true",
                         help="sweep every seed even after failures")
-    parser.add_argument("--engine", choices=("vectorized", "scalar"),
-                        default="vectorized",
-                        help="execution engine under test for generated "
-                             "runs (the invariant oracle is always "
-                             "scalar Python over record dicts)")
+    parser.add_argument("--scalar-parity", action="store_true",
+                        help="for generated runs, also execute every "
+                             "server segment execution on the scalar "
+                             "oracle and fail the seed on any mismatch")
     parser.add_argument("--memory-budget", type=int, default=None,
                         help="per-server segment-cache byte budget for "
                              "generated runs: every query then contends "

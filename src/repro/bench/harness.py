@@ -50,16 +50,14 @@ def compile_queries(queries: Sequence[str]) -> list[Query]:
 
 def make_segment_executor(segments: Sequence[ImmutableSegment],
                           allow_star_tree: bool = True,
-                          use_cost_ordering: bool = True,
-                          vectorized: bool = True) -> ExecuteFn:
+                          use_cost_ordering: bool = True) -> ExecuteFn:
     """Single-process executor over a list of Pinot segments."""
 
     def execute(query: Query) -> BrokerResponse:
         results = [
             execute_segment(segment, query,
                             use_cost_ordering=use_cost_ordering,
-                            allow_star_tree=allow_star_tree,
-                            vectorized=vectorized)
+                            allow_star_tree=allow_star_tree)
             for segment in segments
         ]
         server = combine_segment_results(query, results)

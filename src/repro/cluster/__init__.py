@@ -19,7 +19,6 @@ from repro.cluster.health import (
     HealthPolicy,
     QueuePressure,
 )
-from repro.cluster.metrics import BrokerMetrics, StageTiming
 from repro.cluster.minion import MinionInstance
 from repro.cluster.objectstore import (
     FileObjectStore,
@@ -39,6 +38,7 @@ from repro.cluster.tenant import (
     TenantQuotaManager,
     TokenBucket,
 )
+from repro.obs.metrics import BrokerMetrics, StageTiming
 
 __all__ = [
     "AutoIndexAnalyzer",

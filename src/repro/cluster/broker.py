@@ -24,7 +24,6 @@ from repro.cluster.health import (
     HealthPolicy,
     QueuePressure,
 )
-from repro.cluster.metrics import BrokerMetrics
 from repro.cluster.table import TableConfig, TableType
 from repro.cluster.tenant import TenantQuotaManager
 from repro.common.timeutils import time_boundary
@@ -39,6 +38,7 @@ from repro.errors import (
 from repro.helix.manager import HelixManager
 from repro.helix.statemachine import SegmentState
 from repro.net import CallResult, HedgePolicy, LatencyTracker, SimClock
+from repro.obs.metrics import BrokerMetrics
 from repro.obs.trace import (
     STATUS_CANCELLED,
     STATUS_ERROR,
@@ -262,15 +262,18 @@ class BrokerInstance:
             return {}
         partitions: dict[str, int] = {}
         for segment in segments:
-            meta = (
-                self._helix.get_property(f"segments/{table}/{segment}")
-                or self._helix.get_property(f"realtime/{table}/{segment}")
-                or {}
-            )
+            meta = self._segment_meta(table, segment)
             partition = meta.get("partition_id", meta.get("partition"))
             if partition is not None:
                 partitions[segment] = partition
         return partitions
+
+    def _segment_meta(self, table: str, segment: str) -> dict:
+        """A segment's published metadata: the offline record, else the
+        realtime one, else empty."""
+        return (self._helix.get_property(f"segments/{table}/{segment}")
+                or self._helix.get_property(f"realtime/{table}/{segment}")
+                or {})
 
     def _table_config(self, table: str) -> TableConfig:
         payload = self._helix.get_property(f"tableconfigs/{table}")
@@ -578,11 +581,7 @@ class BrokerInstance:
         for physical_query in physical:
             table = physical_query.table
             for segment in self._helix.external_view(table):
-                meta = (
-                    self._helix.get_property(f"segments/{table}/{segment}")
-                    or self._helix.get_property(f"realtime/{table}/{segment}")
-                    or {}
-                )
+                meta = self._segment_meta(table, segment)
                 num_docs = meta.get("num_docs") or 0
                 total_docs += num_docs
                 cards = meta.get("cardinalities") or {}
@@ -1205,13 +1204,7 @@ class BrokerInstance:
         for instance, segments in routing_table.items():
             kept = []
             for segment in segments:
-                meta = (
-                    self._helix.get_property(
-                        f"segments/{query.table}/{segment}")
-                    or self._helix.get_property(
-                        f"realtime/{query.table}/{segment}")
-                    or {}
-                )
+                meta = self._segment_meta(query.table, segment)
                 min_time = meta.get("min_time")
                 max_time = meta.get("max_time")
                 if (min_time is not None and high is not None

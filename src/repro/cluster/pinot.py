@@ -54,7 +54,6 @@ class PinotCluster:
                  transport: Transport | None = None,
                  hedging: HedgePolicy | None = None,
                  trace_sample_rate: float = 0.0,
-                 default_vectorized: bool = True,
                  store_budget_bytes: int | None = None,
                  store_policy: str = "lru",
                  failure_detector: HealthPolicy | None = None,
@@ -67,10 +66,6 @@ class PinotCluster:
         #: segment resident.
         self.store_budget_bytes = store_budget_bytes
         self.store_policy = store_policy
-        #: Cluster-wide engine default for servers created here and by
-        #: :meth:`add_server` (overridable per query with
-        #: ``OPTION(vectorized=...)``).
-        self.default_vectorized = default_vectorized
         self.zk = ZkStore()
         self.kafka = SimKafka()
         self.object_store = object_store or MemoryObjectStore()
@@ -107,7 +102,6 @@ class PinotCluster:
         self.servers = [
             ServerInstance(f"server-{i}", self.helix, self.object_store,
                            self.kafka, self.leader_controller,
-                           default_vectorized=default_vectorized,
                            store_budget_bytes=store_budget_bytes,
                            store_policy=store_policy)
             for i in range(num_servers)
@@ -352,7 +346,6 @@ class PinotCluster:
             instance_id = f"server-{candidate}"
         server = ServerInstance(instance_id, self.helix, self.object_store,
                                 self.kafka, self.leader_controller,
-                                default_vectorized=self.default_vectorized,
                                 store_budget_bytes=self.store_budget_bytes,
                                 store_policy=self.store_policy)
         self.helix.register_participant(server, tags=[SERVER_TAG])

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.cache.hot import HotStructureCache
 from repro.cache.pruner import prune_reason
 from repro.cluster.completion import Instruction
-from repro.cluster.metrics import ServerMetrics
 from repro.cluster.objectstore import ObjectStore
 from repro.cluster.table import TableConfig
 from repro.engine.executor import execute_segment, prune_result
@@ -31,6 +30,7 @@ from repro.helix.manager import HelixManager
 from repro.helix.statemachine import SegmentState
 from repro.kafka.broker import KafkaConsumer, SimKafka
 from repro.obs import propagation
+from repro.obs.metrics import ServerMetrics
 from repro.obs.trace import STATUS_ERROR, STATUS_OK
 from repro.pql.ast_nodes import Query
 from repro.segment.mutable import MutableSegment
@@ -68,14 +68,9 @@ class ServerInstance:
     def __init__(self, instance_id: str, helix: HelixManager,
                  object_store: ObjectStore, kafka: SimKafka | None = None,
                  controller_resolver: Callable[[], "Controller"] | None = None,
-                 default_vectorized: bool = True,
                  store_budget_bytes: int | None = None,
                  store_policy: str = "lru"):
         self.instance_id = instance_id
-        #: Engine default for queries that carry no
-        #: ``OPTION(vectorized=...)``: batch kernels (True) or the
-        #: row-at-a-time scalar oracle (False) — docs/ENGINE.md.
-        self.default_vectorized = default_vectorized
         self._helix = helix
         self._store = object_store
         self._kafka = kafka
@@ -633,9 +628,6 @@ class ServerInstance:
                           deadline: float | None) -> ServerResult:
         skip_cache = bool(query.options.get("skipCache"))
         skip_prune = skip_cache or bool(query.options.get("skipPrune"))
-        vectorized = bool(
-            query.options.get("vectorized", self.default_vectorized)
-        )
         #: Ambient span recorder, present when the broker propagated a
         #: sampled trace context with this sub-request (repro.obs).
         recorder = propagation.current()
@@ -691,7 +683,6 @@ class ServerInstance:
                 if span is not None and valid_docs is not None:
                     span.attributes["valid_docs"] = valid_docs.count
                 segment_result = execute_segment(segment, query,
-                                                 vectorized=vectorized,
                                                  valid_docs=valid_docs)
                 results.append(segment_result)
                 if span is not None:

@@ -33,25 +33,16 @@ from repro.segment.segment import ImmutableSegment
 def execute_segment(segment: ImmutableSegment, query: Query,
                     use_cost_ordering: bool = True,
                     allow_star_tree: bool = True,
-                    vectorized: bool = True,
                     valid_docs: DocSelection | None = None) -> SegmentResult:
-    """Plan and execute ``query`` on one segment.
+    """Plan and execute ``query`` on one segment with the batch kernels.
 
-    ``vectorized=False`` bypasses the planner and batch kernels entirely
-    and runs the row-at-a-time scalar oracle (:mod:`repro.engine.scalar`)
-    — selectable per query via ``OPTION(vectorized=false)`` and per
-    cluster via ``ServerInstance.default_vectorized``.
-
-    ``valid_docs`` is an upsert table's valid-docId selection: both
-    engines intersect it before filter evaluation, so superseded rows
-    are invisible whichever engine (or mix of engines) runs the query.
+    ``valid_docs`` is an upsert table's valid-docId selection, intersected
+    before filter evaluation so superseded rows are invisible. The
+    row-at-a-time oracle :func:`repro.engine.scalar.execute_segment_scalar`
+    takes the same arguments; only the parity suites call it.
     """
     if valid_docs is not None and valid_docs.count >= segment.num_docs:
         valid_docs = None  # every doc valid: keep the unmasked fast paths
-    if not vectorized:
-        from repro.engine.scalar import execute_segment_scalar
-
-        return execute_segment_scalar(segment, query, valid_docs=valid_docs)
     plan = plan_segment(segment, query, use_cost_ordering,
                         allow_star_tree and valid_docs is None,
                         allow_metadata_only=valid_docs is None,

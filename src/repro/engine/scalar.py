@@ -12,10 +12,10 @@ kernels, planner, or index structures — a bug in selection vectors,
 bitmap unions, dictionary-id range compilation or grouped kernels
 cannot cancel itself out here.
 
-Selected per query with ``OPTION(vectorized=false)`` or per cluster via
-``ServerInstance.default_vectorized`` — see docs/ENGINE.md. It is the
-denominator of the ``BENCH_engine.json`` speedup gate and the system
-under test of the scalar leg of the CI simulation sweep.
+It is not on the serving path: the parity suites call it directly,
+:mod:`repro.sim.parity` repeats every server segment execution of a
+simulation run on it, and it is the denominator of the
+``BENCH_engine.json`` speedup gate — see docs/ENGINE.md.
 """
 
 from __future__ import annotations

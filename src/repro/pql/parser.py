@@ -54,9 +54,6 @@ _KNOWN_OPTIONS: dict[str, tuple[type, ...]] = {
     "skipCache": (bool,),
     "skipPrune": (bool,),
     "trace": (bool,),
-    #: Engine selection: false runs the row-at-a-time scalar oracle
-    #: instead of the batch kernels (docs/ENGINE.md).
-    "vectorized": (bool,),
     #: Per-query override for the broker's smart-approximation rewrite
     #: (DISTINCTCOUNT -> HLL, PERCENTILE -> quantile sketch); overrides
     #: the broker's use_approximate_function config either way.

@@ -72,12 +72,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "flush_threshold_rows": 120,
     "flush_threshold_ticks": 40,
     "records_per_poll": 25,
-    #: Engine under test: batch kernels (True) or the row-at-a-time
-    #: scalar executor (False). The invariant checker's naive oracle is
-    #: always scalar Python over record dicts, so a vectorized run makes
-    #: every seeded fault schedule double as an engine-equivalence
-    #: check, and a scalar run cross-checks the oracle engine itself.
-    "engine_vectorized": True,
     #: Scenario shape: ``default`` is the hybrid offline+realtime table;
     #: ``upsert`` and ``dedup`` are realtime-only tables keyed on
     #: memberId, whose oracle reduces the visible stream prefix to the
@@ -259,7 +253,6 @@ class SimulationHarness:
             seed=self.schedule.seed,
             clock=clock,
             transport=transport,
-            default_vectorized=bool(cfg["engine_vectorized"]),
             store_budget_bytes=cfg["store_budget_bytes"],
             store_policy=cfg["store_policy"],
             failure_detector=(SIM_HEALTH_POLICY

@@ -28,6 +28,7 @@ from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
 from repro.engine.executor import execute_segment
 from repro.engine.merge import combine_segment_results, reduce_server_results
+from repro.engine.scalar import execute_segment_scalar
 from repro.net.codec import decode, encode, json_roundtrip
 from repro.pql.ast_nodes import AggFunc, TimeBucket, group_by_column
 from repro.pql.parser import parse
@@ -144,8 +145,8 @@ def run(query, servers, engine, seed):
         for segment in segments:
             vectorized = (engine == "vectorized"
                           or (engine == "mixed" and rng.random() < 0.5))
-            results.append(execute_segment(segment, query,
-                                           vectorized=vectorized))
+            execute = execute_segment if vectorized else execute_segment_scalar
+            results.append(execute(segment, query))
         combined = combine_segment_results(query, results, f"s{index}")
         server_results.append(decode(json_roundtrip(encode(combined))))
     return reduce_server_results(query, server_results).rows

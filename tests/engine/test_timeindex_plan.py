@@ -18,6 +18,7 @@ from repro.engine.executor import execute_plan, execute_segment
 from repro.engine.merge import combine_segment_results, reduce_server_results
 from repro.engine.operators import DocSelection
 from repro.engine.planner import PlanKind, plan_segment
+from repro.engine.scalar import execute_segment_scalar
 from repro.pql.parser import parse
 from repro.pql.rewriter import optimize
 from repro.segment.builder import SegmentBuilder, SegmentConfig
@@ -180,7 +181,7 @@ class TestScanParity:
     def test_rollup_rows_match_scalar_engine(self, segment, pql):
         query = optimize(parse(pql))
         __, rollup_response = run(segment, pql)
-        scalar = execute_segment(segment, query, vectorized=False)
+        scalar = execute_segment_scalar(segment, query)
         scalar_response = reduce_server_results(
             query, [combine_segment_results(query, [scalar])]
         )

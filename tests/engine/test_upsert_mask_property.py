@@ -28,6 +28,7 @@ from repro.common.types import DataType, dimension, metric, time_column
 from repro.engine.executor import execute_segment
 from repro.engine.merge import combine_segment_results, reduce_server_results
 from repro.engine.operators import DocSelection
+from repro.engine.scalar import execute_segment_scalar
 from repro.pql.parser import parse
 from repro.pql.rewriter import optimize
 from repro.segment.builder import SegmentBuilder, SegmentConfig
@@ -79,9 +80,8 @@ def reference_mask(history):
     return mask
 
 
-def run(segment, query, vectorized, valid_docs):
-    result = execute_segment(segment, query, vectorized=vectorized,
-                             valid_docs=valid_docs)
+def run(segment, query, engine, valid_docs):
+    result = engine(segment, query, valid_docs=valid_docs)
     server = combine_segment_results(query, [result])
     return reduce_server_results(query, [server])
 
@@ -128,12 +128,11 @@ def test_upsert_mask_engine_parity(history, rng):
              DocSelection.from_docs(np.flatnonzero(expected_mask))]
     for text in QUERIES:
         query = optimize(parse(text))
-        truth = rows_of(query, run(compacted, query, True, None))
+        truth = rows_of(query, run(compacted, query, execute_segment, None))
         for form in forms:
-            for vectorized in (True, False):
-                got = rows_of(query,
-                              run(segment, query, vectorized, form))
-                assert got == truth, (text, form, vectorized)
+            for engine in (execute_segment, execute_segment_scalar):
+                got = rows_of(query, run(segment, query, engine, form))
+                assert got == truth, (text, form, engine.__name__)
 
 
 @pytest.mark.parametrize("start,end", [(0, 4), (2, 9), (5, 5)])
@@ -147,10 +146,12 @@ def test_contiguous_range_form(start, end):
     survivors = records[start:end]
     for text in QUERIES:
         query = optimize(parse(text))
-        fast = rows_of(query, run(segment, query, True, valid))
-        slow = rows_of(query, run(segment, query, False, valid))
+        fast = rows_of(query, run(segment, query, execute_segment, valid))
+        slow = rows_of(query,
+                       run(segment, query, execute_segment_scalar, valid))
         assert fast == slow, (text, start, end)
         if survivors:
             truth = rows_of(query, run(
-                build_segment("t__0__1", survivors), query, True, None))
+                build_segment("t__0__1", survivors), query, execute_segment,
+                None))
             assert fast == truth, (text, start, end)

@@ -5,7 +5,7 @@ queries (AND/OR/NOT trees over =, !=, range, IN, BETWEEN, LIKE leaves;
 plain and grouped aggregates; multi-value group-bys), then executes
 each query twice per segment configuration — once through the numpy
 batch engine and once through the row-at-a-time scalar oracle
-(``vectorized=False``) — and requires *exact* equality of the merged
+(``execute_segment_scalar``) — and requires *exact* equality of the merged
 results.
 
 Metric values are integers, so float64 aggregate sums are exact
@@ -25,6 +25,7 @@ from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
 from repro.engine.executor import execute_segment
 from repro.engine.merge import combine_segment_results, reduce_server_results
+from repro.engine.scalar import execute_segment_scalar
 from repro.pql.parser import parse
 from repro.pql.rewriter import optimize
 from repro.segment.builder import SegmentBuilder, SegmentConfig
@@ -142,8 +143,8 @@ def query_texts(draw):
     return text
 
 
-def run_engine(segment, query, vectorized):
-    result = execute_segment(segment, query, vectorized=vectorized)
+def run_engine(segment, query, execute):
+    result = execute(segment, query)
     server = combine_segment_results(query, [result])
     return reduce_server_results(query, [server])
 
@@ -163,8 +164,8 @@ def assert_same_rows(query, fast, slow, context):
 def test_vectorized_scalar_parity(built_segments, text):
     query = optimize(parse(text))
     for name, segment in built_segments.items():
-        fast = run_engine(segment, query, vectorized=True)
-        slow = run_engine(segment, query, vectorized=False)
+        fast = run_engine(segment, query, execute_segment)
+        slow = run_engine(segment, query, execute_segment_scalar)
         # Only results must agree; execution stats legitimately differ
         # (the planner answers metadata-only queries without scanning,
         # the oracle always walks every doc).
@@ -196,8 +197,8 @@ EDGE_QUERIES = [
 def test_edge_parity(built_segments, text):
     query = optimize(parse(text))
     for name, segment in built_segments.items():
-        fast = run_engine(segment, query, vectorized=True)
-        slow = run_engine(segment, query, vectorized=False)
+        fast = run_engine(segment, query, execute_segment)
+        slow = run_engine(segment, query, execute_segment_scalar)
         if query.is_aggregation:
             assert_same_rows(query, fast, slow, (name, text))
         else:

@@ -166,9 +166,14 @@ class TestClauses:
         )
         assert query.options == {"skipCache": True, "skipPrune": False}
 
-    def test_unknown_option_rejected(self):
-        with pytest.raises(QueryError, match="skipCahce"):
-            parse("SELECT a FROM t OPTION (skipCahce = true)")
+    @pytest.mark.parametrize("option", [
+        "skipCahce = true",
+        "vectorized = false",
+    ], ids=["skipCahce", "vectorized"])
+    def test_unknown_option_rejected(self, option):
+        name = option.split()[0]
+        with pytest.raises(QueryError, match=name):
+            parse(f"SELECT a FROM t OPTION ({option})")
 
     def test_unknown_option_error_lists_known_names(self):
         with pytest.raises(QueryError, match="skipCache"):

@@ -6,7 +6,7 @@ mutable segment, sealed, uploaded through the on-disk format
 must be byte-identical column by column, the primary-key index rebuilt
 from the reloaded copy must mask exactly the same docIds, and every
 query must answer identically over the original and the reloaded
-segment on both engines (vectorized and scalar)."""
+segment on both the batch engine and the scalar oracle."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
 from repro.engine.executor import execute_segment
 from repro.engine.merge import combine_segment_results, reduce_server_results
+from repro.engine.scalar import execute_segment_scalar
 from repro.pql.parser import parse
 from repro.pql.rewriter import optimize
 from repro.segment.builder import SegmentConfig
@@ -71,10 +72,9 @@ def mask_of(manager, num_docs):
     return selection.mask(num_docs)
 
 
-def rows(pql, segment, vectorized, valid_docs=None):
+def rows(pql, segment, engine, valid_docs=None):
     query = optimize(parse(pql))
-    result = execute_segment(segment, query, vectorized=vectorized,
-                             valid_docs=valid_docs)
+    result = engine(segment, query, valid_docs=valid_docs)
     server = combine_segment_results(query, [result])
     response = reduce_server_results(query, [server])
     if query.group_by:
@@ -119,8 +119,8 @@ def test_seal_upload_evict_reload_is_lossless(history, tmp_path_factory):
     sel_before = manager.selection_for(SEGMENT, sealed.num_docs)
     sel_after = rebuilt.selection_for(SEGMENT, reloaded.num_docs)
     for pql in QUERIES:
-        for vectorized in (True, False):
-            assert (rows(pql, sealed, vectorized)
-                    == rows(pql, reloaded, vectorized)), pql
-            assert (rows(pql, sealed, vectorized, sel_before)
-                    == rows(pql, reloaded, vectorized, sel_after)), pql
+        for engine in (execute_segment, execute_segment_scalar):
+            assert (rows(pql, sealed, engine)
+                    == rows(pql, reloaded, engine)), pql
+            assert (rows(pql, sealed, engine, sel_before)
+                    == rows(pql, reloaded, engine, sel_after)), pql
